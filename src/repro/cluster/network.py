@@ -197,17 +197,20 @@ class Network:
         return self.scheduler.transfer(links, nbytes, cap=cap, label=label)
 
     # -- monitoring -------------------------------------------------------
-    def nic_utilization(self, node: Node) -> Tuple[float, ...]:
-        """``(rx, tx)`` utilization for *node*, one scan of active flows.
+    def nic_utilizations(self, nodes: Sequence[Node]) -> List[Tuple[float, float]]:
+        """``(rx, tx)`` utilization per node in *nodes*, one scan of active flows.
 
-        The slave monitors sample both directions every heartbeat; the
-        batched form halves the per-sample flow-list scans while staying
-        bit-identical to two :meth:`rx_utilization`/:meth:`tx_utilization`
-        calls.
+        A monitor tick samples every node's NIC in both directions; one
+        batched scan stays bit-identical to per-node
+        :meth:`rx_utilization`/:meth:`tx_utilization` calls, since each
+        link still sums its flows' rates in active-flow order.
         """
-        return self.scheduler.utilizations(
-            (self._rx[node.node_id], self._tx[node.node_id])
-        )
+        links: List[Link] = []
+        for node in nodes:
+            links.append(self._rx[node.node_id])
+            links.append(self._tx[node.node_id])
+        utils = self.scheduler.utilizations(links)
+        return list(zip(utils[0::2], utils[1::2]))
 
     def rx_utilization(self, node: Node) -> float:
         return self.scheduler.utilization(self._rx[node.node_id])

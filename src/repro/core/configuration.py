@@ -75,7 +75,12 @@ class Configuration:
         return dict(self._values)
 
     def copy(self) -> "Configuration":
-        return Configuration(self._values, space=self._space)
+        # Every stored value already passed __setitem__'s clamp, and
+        # clamping is idempotent, so a plain dict copy equals a rebuild.
+        cfg = Configuration.__new__(Configuration)
+        cfg._space = self._space
+        cfg._values = dict(self._values)
+        return cfg
 
     def updated(self, changes: Mapping[str, float]) -> "Configuration":
         cfg = self.copy()

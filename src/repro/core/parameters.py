@@ -104,6 +104,8 @@ class ParameterSpace:
         self._index: Dict[str, int] = {s.name: i for i, s in enumerate(self._specs)}
         if len(self._index) != len(self._specs):
             raise ValueError("duplicate parameter names in space")
+        #: Clamped defaults, computed once; :meth:`defaults` hands out copies.
+        self._defaults: Dict[str, float] = {s.name: s.clamp(s.default) for s in self._specs}
 
     # -- container protocol -----------------------------------------------
     def __len__(self) -> int:
@@ -140,7 +142,7 @@ class ParameterSpace:
         return out
 
     def defaults(self) -> Dict[str, float]:
-        return {s.name: s.clamp(s.default) for s in self._specs}
+        return dict(self._defaults)
 
     def default_point(self) -> np.ndarray:
         return self.encode(self.defaults())

@@ -19,7 +19,7 @@ from repro.faults import FaultInjector, FaultPlan, generate_fault_plan
 from repro.hdfs.filesystem import HdfsFileSystem
 from repro.mapreduce.jobspec import JobSpec
 from repro.monitor.central_monitor import CentralMonitor
-from repro.monitor.slave_monitor import SlaveMonitor
+from repro.monitor.slave_monitor import SlaveMonitor, start_together
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf
 from repro.sim.rng import RngRegistry
@@ -86,8 +86,8 @@ class SimCluster:
             for nm in self.node_managers.values()
         ]
         if start_monitors:
-            for sm in self.slave_monitors:
-                sm.start()
+            # One shared tick samples every seed node in node order.
+            start_together(self.slave_monitors)
         #: Retry/blacklist/speculation policy handed to every app master
         #: (``None`` = defaults: retries on, speculation off).
         self.fault_tolerance = fault_tolerance

@@ -59,17 +59,14 @@ class CentralMonitor:
         bus.subscribe(self.on_event, categories=("stats", "node"))
 
     def on_event(self, event: "TelemetryEvent") -> None:
-        from repro.telemetry.events import (
-            CapacityChange,
-            NodeSampled,
-            TaskStatsRecorded,
-        )
-
-        if isinstance(event, TaskStatsRecorded):
-            self.on_task_stats(event.stats)
-        elif isinstance(event, NodeSampled):
+        # Dispatch on the event's kind tag, most frequent first: node
+        # samples outnumber everything else on these two categories.
+        kind = event.kind
+        if kind == "node_sample":
             self.on_node_stats(event.stats)
-        elif isinstance(event, CapacityChange):
+        elif kind == "task_stats":
+            self.on_task_stats(event.stats)
+        elif kind == "capacity_change":
             self.on_capacity_change(event.node_id, event.action, event.time)
 
     def on_capacity_change(self, node_id: int, action: str, time: float) -> None:

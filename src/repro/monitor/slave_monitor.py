@@ -1,8 +1,8 @@
-"""Per-node slave monitor: samples node statistics periodically."""
+"""Per-node slave monitors, sampled by one shared tick per start instant."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, List, Optional
 
 from repro.monitor.statistics import NodeStats
 from repro.sim.engine import Simulator
@@ -24,6 +24,10 @@ class SlaveMonitor:
     the simulator's telemetry bus as a ``node``-category
     :class:`~repro.telemetry.events.NodeSampled` event (dropped when no
     bus -- or no subscriber -- is attached).
+
+    The sampling itself is driven by a :class:`MonitorTick`:
+    :meth:`start` puts this monitor on a tick of its own, and
+    :func:`start_together` puts several monitors on one shared tick.
     """
 
     def __init__(
@@ -41,43 +45,100 @@ class SlaveMonitor:
         self.sink = sink
         self.interval = interval
         self.network = network
-        self._running = False
+        #: The tick sampling this monitor; ``None`` while stopped.
+        self._tick: Optional[MonitorTick] = None
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name=f"slave-mon-{self.nm.node.node_id}")
+        """Start sampling now, on a tick of one (no-op when running)."""
+        start_together((self,))
 
     def stop(self) -> None:
-        self._running = False
+        """Stop sampling; a later :meth:`start` joins a fresh tick."""
+        if self._tick is not None:
+            self._tick.members.remove(self)
+            self._tick = None
 
     def sample(self) -> NodeStats:
-        node = self.nm.node
         rx = tx = 0.0
         if self.network is not None:
-            rx, tx = self.network.nic_utilization(node)
+            rx, tx = self.network.nic_utilizations((self.nm.node,))[0]
+        return self._stats(rx, tx)
+
+    def _stats(self, rx: float, tx: float) -> NodeStats:
+        nm = self.nm
         return NodeStats(
-            node_id=node.node_id,
-            time=self.sim.now,
-            cpu_utilization=self.nm.cpu_utilization(),
-            memory_utilization=self.nm.memory_utilization(),
-            running_containers=self.nm.running_containers,
-            rx_utilization=rx,
-            tx_utilization=tx,
+            nm.node.node_id,
+            self.sim.now,
+            nm.cpu_utilization(),
+            nm.memory_utilization(),
+            nm.running_containers,
+            rx,
+            tx,
         )
 
-    def _publish(self, sample: NodeStats) -> None:
-        if self.sink is not None:
-            self.sink(sample)
-            return
-        tel = self.sim.telemetry
-        if tel is not None and tel.wants("node"):
-            from repro.telemetry.events import NodeSampled
 
-            tel.emit(NodeSampled(time=sample.time, stats=sample))
+class MonitorTick:
+    """One sampling process for the slave monitors started together.
+
+    Each wake-up reads every member's NIC rx/tx in one flow-list pass,
+    builds the :class:`NodeStats`, and publishes them in member (start)
+    order.  This is exactly what one process per monitor would do:
+    monitors started back to back schedule nothing between their first
+    wake-ups, so their periodic wake-ups stay consecutive on the
+    calendar forever, and one event at the first member's position
+    fires the same samples, in the same order, with the same values.
+
+    A stopped member leaves the tick; the tick ends once it is empty.
+    """
+
+    def __init__(self, monitors: List[SlaveMonitor]) -> None:
+        first = monitors[0]
+        shared = (first.sim, first.interval, first.network)
+        if any((mon.sim, mon.interval, mon.network) != shared for mon in monitors):
+            raise ValueError(
+                "monitors sharing a tick need the same simulator, interval and network"
+            )
+        self.sim = first.sim
+        self.interval = first.interval
+        self.network = first.network
+        self.members: List[SlaveMonitor] = list(monitors)
 
     def _loop(self) -> Generator[Event, object, None]:
-        while self._running:
-            self._publish(self.sample())
-            yield self.sim.timeout(self.interval)
+        # Imported here: repro.telemetry.events imports this package.
+        from repro.telemetry.events import NodeSampled
+
+        sim = self.sim
+        members = self.members
+        network = self.network
+        while members:
+            live = tuple(members)
+            if network is None:
+                nics = [(0.0, 0.0)] * len(live)
+            else:
+                nics = network.nic_utilizations([mon.nm.node for mon in live])
+            tel = sim.telemetry
+            bus = tel if tel is not None and tel.wants("node") else None
+            for mon, (rx, tx) in zip(live, nics):
+                sample = mon._stats(rx, tx)
+                if mon.sink is not None:
+                    mon.sink(sample)
+                elif bus is not None:
+                    bus.emit(NodeSampled(time=sample.time, stats=sample))
+            yield sim.timeout(self.interval)
+
+
+def start_together(monitors: Iterable[SlaveMonitor]) -> Optional[MonitorTick]:
+    """Start the idle ones of *monitors* now, on one shared tick.
+
+    Monitors that are already running keep their own tick.  Returns the
+    new tick, or ``None`` when every monitor was already running.
+    """
+    idle = [mon for mon in monitors if mon._tick is None]
+    if not idle:
+        return None
+    tick = MonitorTick(idle)
+    for mon in idle:
+        mon._tick = tick
+    first = idle[0].nm.node.node_id
+    tick.sim.process(tick._loop(), name=f"slave-mon-{first}")
+    return tick

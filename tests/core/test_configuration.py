@@ -1,5 +1,7 @@
 """Tests for configurations and dependency clamps."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,3 +115,75 @@ class TestDependencies:
         once = enforce_dependencies(cfg)
         assert is_feasible(once)
         assert enforce_dependencies(once) == once
+
+
+def _random_values(rng, extra_keys=("custom.a", "custom.b", "custom.c")):
+    """A seeded value dict: out-of-range values, floats for int-kind
+    parameters, non-float values, and keys outside the space."""
+    values = {}
+    for spec in rng.sample(list(PARAMETER_SPACE), rng.randint(1, len(PARAMETER_SPACE))):
+        span = spec.high - spec.low
+        draw = rng.random()
+        if draw < 0.2:
+            value = spec.low - rng.uniform(0.0, span + 1.0)
+        elif draw < 0.4:
+            value = spec.high + rng.uniform(0.0, span + 1.0)
+        elif draw < 0.6:
+            value = int(rng.uniform(spec.low, spec.high))
+        else:
+            value = rng.uniform(spec.low, spec.high)  # int kinds get fractions
+        values[spec.name] = value
+    for key in rng.sample(list(extra_keys), rng.randint(0, len(extra_keys))):
+        values[key] = rng.choice([rng.randint(-5, 5), rng.uniform(-5.0, 5.0), "text"])
+    keys = list(values)
+    rng.shuffle(keys)
+    return {k: values[k] for k in keys}
+
+
+def _reclamped(values, changes=None):
+    """The construction copies used to pay for: rebuild and re-clamp."""
+    cfg = Configuration(values)
+    for name, value in (changes or {}).items():
+        cfg[name] = value
+    return cfg
+
+
+def _typed_items(cfg):
+    return [(k, v, type(v)) for k, v in cfg.as_dict().items()]
+
+
+class TestValidateOnceCopies:
+    """copy()/updated() reuse the validated dict instead of re-clamping."""
+
+    SEEDS = range(200)
+
+    def test_copy_equals_reclamped_construction(self):
+        for seed in self.SEEDS:
+            src = Configuration(_random_values(random.Random(seed)))
+            assert _typed_items(src.copy()) == _typed_items(_reclamped(src.as_dict()))
+            assert _typed_items(src.copy()) == _typed_items(src)
+
+    def test_updated_equals_reclamped_construction(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            src = Configuration(_random_values(rng))
+            changes = _random_values(rng, extra_keys=("custom.b", "custom.d"))
+            assert _typed_items(src.updated(changes)) == _typed_items(
+                _reclamped(src.as_dict(), changes)
+            )
+
+    def test_mutating_a_copy_leaves_source_and_defaults_alone(self):
+        defaults = PARAMETER_SPACE.defaults()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            src = Configuration(_random_values(rng))
+            before = _typed_items(src)
+            for cfg in (src.copy(), src.updated({P.IO_SORT_MB: 700})):
+                for name, value in _random_values(rng).items():
+                    cfg[name] = value
+                cfg["custom.new"] = seed
+            assert _typed_items(src) == before
+        handed_out = PARAMETER_SPACE.defaults()
+        handed_out[P.IO_SORT_MB] = 1
+        assert PARAMETER_SPACE.defaults() == defaults
+        assert Configuration().as_dict() == defaults

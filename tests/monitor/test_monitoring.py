@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.mapreduce.jobspec import TaskId, TaskType
 from repro.monitor.central_monitor import CentralMonitor
-from repro.monitor.slave_monitor import SlaveMonitor
+from repro.monitor.slave_monitor import SlaveMonitor, start_together
 from repro.monitor.statistics import NodeStats, TaskStats, UtilizationTimeline
 from repro.sim import Simulator
 from repro.yarn.node_manager import NodeManager
@@ -257,6 +257,51 @@ class TestSlaveMonitor:
         mon.stop()
         sim.run(until=20.0)
         assert len(samples) <= 3
+
+    def test_restart_before_next_wake_does_not_double_sample(self):
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterSpec(num_slaves=1, racks=(1,)))
+        nm = NodeManager(sim, cluster.nodes[0])
+        samples = []
+        mon = SlaveMonitor(sim, nm, samples.append, interval=5.0)
+        mon.start()
+        sim.run(until=7.0)
+        mon.stop()
+        mon.start()
+        sim.run(until=21.0)
+        # The restart joins a fresh tick; the old one does not wake at 10.
+        assert [s.time for s in samples] == [0.0, 5.0, 7.0, 12.0, 17.0]
+
+    def test_start_together_shares_one_tick(self):
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterSpec(num_slaves=3, racks=(3,)))
+        samples = []
+        mons = [
+            SlaveMonitor(sim, NodeManager(sim, node), samples.append, interval=2.0)
+            for node in cluster.nodes
+        ]
+        mons[1].start()  # already running: keeps its own tick
+        tick = start_together(mons)
+        assert tick.members == [mons[0], mons[2]]
+        assert start_together(mons) is None
+        sim.run(until=3.0)
+        assert [(s.time, s.node_id) for s in samples] == [
+            (0.0, 1), (0.0, 0), (0.0, 2), (2.0, 1), (2.0, 0), (2.0, 2),
+        ]
+        for mon in mons:
+            mon.stop()
+        sim.run()  # every tick is empty, so the calendar drains
+        assert len(samples) == 6
+
+    def test_shared_tick_needs_one_interval(self):
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterSpec(num_slaves=2, racks=(2,)))
+        a, b = (
+            SlaveMonitor(sim, NodeManager(sim, node), interval=i)
+            for node, i in zip(cluster.nodes, (2.0, 3.0))
+        )
+        with pytest.raises(ValueError):
+            start_together([a, b])
 
     def test_invalid_interval(self):
         sim = Simulator()
