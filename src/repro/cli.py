@@ -229,13 +229,18 @@ def _load_plan_json(path: str, levels: Sequence[str]) -> str:
     import json
     from pathlib import Path
 
+    from repro.faults import FaultPlanError
+
     text = Path(path).read_text()
-    obj = json.loads(text)
-    if isinstance(obj, dict) and "faults" in obj:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise FaultPlanError(f"--plan-json {path}: not valid JSON: {err}") from None
+    if not isinstance(obj, dict) or "faults" in obj:
         return text
     matching = [lv for lv in levels if lv != "none" and lv in obj]
     if len(matching) != 1:
-        raise SystemExit(
+        raise FaultPlanError(
             f"--plan-json {path}: level-keyed dump needs exactly one requested"
             f" faulted level among {sorted(obj)}, got {matching or 'none'}"
         )
@@ -247,24 +252,29 @@ def cmd_faults(args) -> int:
     import os
 
     from repro.experiments.faults import run_fault_experiment
+    from repro.faults import FaultPlanError
 
     levels = tuple(args.levels.split(","))
     plan_json = None
     replayed = False
-    if args.plan_json and os.path.exists(args.plan_json):
-        plan_json = _load_plan_json(args.plan_json, levels)
-        replayed = True
-    report = run_fault_experiment(
-        case_name=args.case,
-        seed=args.seed,
-        levels=levels,
-        tuning=_tuning_mode(args),
-        num_blocks=args.blocks,
-        num_reducers=args.reducers,
-        max_workers=args.workers,
-        kinds=tuple(args.kinds.split(",")) if args.kinds else None,
-        plan_json=plan_json,
-    )
+    try:
+        if args.plan_json and os.path.exists(args.plan_json):
+            plan_json = _load_plan_json(args.plan_json, levels)
+            replayed = True
+        report = run_fault_experiment(
+            case_name=args.case,
+            seed=args.seed,
+            levels=levels,
+            tuning=_tuning_mode(args),
+            num_blocks=args.blocks,
+            num_reducers=args.reducers,
+            max_workers=args.workers,
+            kinds=tuple(args.kinds.split(",")) if args.kinds else None,
+            plan_json=plan_json,
+        )
+    except FaultPlanError as err:
+        print(str(err), file=sys.stderr)
+        return 2
     print(f"case: {report.case_name}  seed={report.seed}  tuning={report.tuning}")
     print(f"fault-free baseline: {report.baseline.job_time:.1f} s")
     for row in report.rows:
@@ -382,6 +392,7 @@ def cmd_serve(args) -> int:
         run_service_local,
     )
 
+    from repro.faults import FaultPlanError
     from repro.recovery import ServiceKilled
 
     fault_plan = None
@@ -408,10 +419,16 @@ def cmd_serve(args) -> int:
             return 2
         try:
             report = run_service(config)
+        except FaultPlanError as err:
+            print(f"--fault-plan {args.fault_plan}: {err}", file=sys.stderr)
+            return 2
         except ServiceKilled as killed:
             print(f"service killed: {killed}", file=sys.stderr)
             return 3
     else:
+        if fault_plan is not None:
+            print("--fault-plan is simulator-only (use --backend sim)", file=sys.stderr)
+            return 2
         # Smoke scale on real worker processes: two tenants mixing the
         # local workloads, sequential dispatch, wall-clock latencies.
         mixes = (("wordcount",), ("grep", "inverted-index"))

@@ -24,13 +24,14 @@ from repro.experiments.parallel import (
     combined_digest,
     run_requests,
 )
+from repro.faults.plan import fault_counts
 
 #: Churn-scenario knobs per level (fed to ``generate_fault_plan``; the
 #: ``horizon`` knob is added at run time from the measured baseline).
 ELASTIC_LEVELS: Dict[str, Dict[str, float]] = {
     "none": {},
-    "low": {"decommissions": 1, "joins": 1},
-    "high": {"decommissions": 2, "joins": 2, "spot_preempts": 2},
+    "low": fault_counts(node_decommission=1, node_join=1),
+    "high": fault_counts(node_decommission=2, node_join=2, spot_preempt=2),
 }
 
 #: One shrunk instance per distinct workload profile of Table 3 (the

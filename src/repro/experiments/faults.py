@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.topology import ClusterSpec
 from repro.experiments.parallel import (
     RunOutcome,
     RunRequest,
@@ -26,30 +27,23 @@ from repro.experiments.parallel import (
     execute_request,
     run_requests,
 )
+from repro.faults.plan import (
+    KIND,
+    KIND_TO_KNOB,
+    FaultPlanError,
+    fault_counts,
+    generate_fault_plan,
+    plan_from_json,
+    plan_to_json,
+)
+from repro.sim.rng import RngRegistry
 
 #: Fault-scenario knobs per level (fed to ``generate_fault_plan``; the
 #: ``horizon`` knob is added at run time from the measured baseline).
 FAULT_LEVELS: Dict[str, Dict[str, float]] = {
     "none": {},
-    "low": {"container_kills": 2, "degraded": 1},
-    "high": {"crashes": 1, "container_kills": 4, "degraded": 2},
-}
-
-#: Fault kind -> ``generate_fault_plan`` count knob (the ``--kinds``
-#: filter builds per-level knob dicts from this map).
-KIND_TO_KNOB: Dict[str, str] = {
-    "node_crash": "crashes",
-    "container_kill": "container_kills",
-    "degrade": "degraded",
-    "link_degrade": "link_degraded",
-    "link_flaky": "link_flaky",
-    "rack_partition": "rack_partitions",
-    "node_decommission": "decommissions",
-    "node_join": "joins",
-    "spot_preempt": "spot_preempts",
-    "tuner_crash": "tuner_crashes",
-    "monitor_outage": "monitor_outages",
-    "stats_gap": "stats_gaps",
+    "low": fault_counts(container_kill=2, degrade=1),
+    "high": fault_counts(node_crash=1, container_kill=4, degrade=2),
 }
 
 #: Failure kind (``TaskStats.failure_kind``) -> the fault kind that
@@ -67,20 +61,17 @@ def levels_for_kinds(kinds: Tuple[str, ...]) -> Dict[str, Dict[str, float]]:
     """Build ``low``/``high`` knob dicts restricted to *kinds*.
 
     Low injects one fault of each selected kind; high injects two.
-    Node-removing kinds (crashes, decommissions, spot preemptions) are
+    Kinds that remove a node (:attr:`FaultKind.removes_node`) are
     capped at one each -- losing more nodes on a small test cluster
     starves the job rather than stressing recovery.
     """
-    unknown = [k for k in kinds if k not in KIND_TO_KNOB]
+    unknown = [k for k in kinds if k not in KIND]
     if unknown:
-        raise ValueError(
-            f"unknown fault kind(s) {unknown}, want a subset of {sorted(KIND_TO_KNOB)}"
+        raise FaultPlanError(
+            f"unknown fault kind(s) {unknown}, want a subset of {sorted(KIND)}"
         )
-    removes_node = {"node_crash", "node_decommission", "spot_preempt"}
     low = {KIND_TO_KNOB[k]: 1 for k in kinds}
-    high = {
-        KIND_TO_KNOB[k]: (1 if k in removes_node else 2) for k in kinds
-    }
+    high = {KIND_TO_KNOB[k]: 1 if KIND[k].removes_node else 2 for k in kinds}
     return {"none": {}, "low": low, "high": high}
 
 
@@ -151,11 +142,15 @@ def run_fault_experiment(
     """Run the full resilience protocol for one case and seed.
 
     *kinds* restricts the generated scenarios to the named fault kinds
-    (see :data:`KIND_TO_KNOB`); without it the legacy node/container
+    (see :data:`~repro.faults.plan.KINDS`); without it the legacy node/container
     levels in :data:`FAULT_LEVELS` apply.  *plan_json* bypasses
     generation entirely: the serialized plan replays verbatim at every
     non-``none`` level (the ``--plan-json`` round-trip).
     """
+    if plan_json is not None:
+        # Workers replay the plan on the default cluster: reject a plan
+        # naming nodes it lacks now, not after the baseline run.
+        plan_from_json(plan_json).check_nodes(ClusterSpec().num_slaves)
     fault_levels = FAULT_LEVELS if kinds is None else levels_for_kinds(kinds)
     unknown = [lv for lv in levels if lv not in fault_levels]
     if unknown:
@@ -236,10 +231,6 @@ def _level_plans(
     so regenerating with the same inputs here reproduces the exact plan
     without another simulation run.
     """
-    from repro.cluster.topology import ClusterSpec
-    from repro.faults import generate_fault_plan, plan_to_json
-    from repro.sim.rng import RngRegistry
-
     out: List[Tuple[str, str]] = []
     num_nodes = ClusterSpec().num_slaves
     for level in levels:
@@ -253,18 +244,7 @@ def _level_plans(
             RngRegistry(seed).stream("faults", "plan"),
             num_nodes=num_nodes,
             horizon=horizon,
-            crashes=int(knobs.get("crashes", 0)),
-            container_kills=int(knobs.get("container_kills", 0)),
-            degraded=int(knobs.get("degraded", 0)),
-            link_degraded=int(knobs.get("link_degraded", 0)),
-            link_flaky=int(knobs.get("link_flaky", 0)),
-            rack_partitions=int(knobs.get("rack_partitions", 0)),
-            decommissions=int(knobs.get("decommissions", 0)),
-            joins=int(knobs.get("joins", 0)),
-            spot_preempts=int(knobs.get("spot_preempts", 0)),
-            tuner_crashes=int(knobs.get("tuner_crashes", 0)),
-            monitor_outages=int(knobs.get("monitor_outages", 0)),
-            stats_gaps=int(knobs.get("stats_gaps", 0)),
+            **{knob: int(count) for knob, count in knobs.items()},
         )
         out.append((level, plan_to_json(plan)))
     return tuple(out)

@@ -98,30 +98,23 @@ class SimCluster:
     def inject_faults(
         self,
         plan: Optional[FaultPlan] = None,
-        crashes: int = 0,
-        container_kills: int = 0,
-        degraded: int = 0,
         horizon: float = 0.0,
-        link_degraded: int = 0,
-        link_flaky: int = 0,
-        rack_partitions: int = 0,
-        decommissions: int = 0,
-        joins: int = 0,
-        spot_preempts: int = 0,
-        tuner_crashes: int = 0,
-        monitor_outages: int = 0,
-        stats_gaps: int = 0,
+        **counts: int,
     ) -> FaultPlan:
-        """Arm fault injection, from an explicit *plan* or generated knobs.
+        """Arm fault injection, from an explicit *plan* or generated counts.
 
-        Without *plan*, a scenario is drawn from the dedicated
-        ``("faults", "plan")`` RNG stream -- fault-free runs never touch
-        that stream, so arming faults cannot perturb any other random
-        draw, and the same seed always produces the same scenario.
-        Per-fetch failure draws (``link_flaky``) come from the separate
+        Without *plan*, a scenario is drawn by
+        :func:`~repro.faults.generate_fault_plan` (*horizon* and the
+        per-kind *counts*) from the dedicated ``("faults", "plan")``
+        RNG stream -- fault-free runs never touch that stream, so
+        arming faults cannot perturb any other random draw, and the
+        same seed always produces the same scenario.  Per-fetch failure
+        draws (``link_flaky``) come from the separate
         ``("faults", "fetch")`` stream so the scenario itself stays
         identical across plans that differ only in flaky windows.
-        Must be called before the simulation is driven.
+        A plan naming a node this cluster lacks when the fault lands is
+        rejected (:class:`~repro.faults.plan.FaultPlanError`) before
+        anything is armed.  Must be called before the simulation is driven.
         """
         if self.fault_injector is not None:
             raise RuntimeError("faults already injected for this cluster")
@@ -130,19 +123,9 @@ class SimCluster:
                 self.rngs.stream("faults", "plan"),
                 num_nodes=len(self.cluster.nodes),
                 horizon=horizon,
-                crashes=crashes,
-                container_kills=container_kills,
-                degraded=degraded,
-                link_degraded=link_degraded,
-                link_flaky=link_flaky,
-                rack_partitions=rack_partitions,
-                decommissions=decommissions,
-                joins=joins,
-                spot_preempts=spot_preempts,
-                tuner_crashes=tuner_crashes,
-                monitor_outages=monitor_outages,
-                stats_gaps=stats_gaps,
+                **counts,
             )
+        plan.check_nodes(len(self.cluster.nodes))
         elastic = None
         if plan.has_elastic_faults:
             # A fully wired membership manager: joined nodes get a slave

@@ -139,15 +139,13 @@ class RunRequest:
     num_reducers: Optional[int] = None
     #: Fault-scenario knobs as sorted ``(name, value)`` pairs -- the
     #: declarative input to :func:`repro.faults.generate_fault_plan`
-    #: (``crashes``, ``container_kills``, ``degraded``, ``horizon``,
-    #: ``link_degraded``, ``link_flaky``, ``rack_partitions``,
-    #: ``decommissions``, ``joins``, ``spot_preempts``,
-    #: ``tuner_crashes``, ``monitor_outages``, ``stats_gaps``).
-    #: The plan itself is drawn worker-side from the run's own seeded
-    #: ``("faults", "plan")`` stream, so the same request always yields
-    #: the same scenario.  Alternatively a single ``("plan", json)``
-    #: entry replays an explicit serialized plan (see
-    #: :func:`repro.faults.plan_to_json`).  ``None`` = fault-free.
+    #: (``horizon`` plus any count keyword of
+    #: :data:`repro.faults.plan.KINDS`).  The plan itself is drawn
+    #: worker-side from the run's own seeded ``("faults", "plan")``
+    #: stream, so the same request always yields the same scenario.
+    #: Alternatively a single ``("plan", json)`` entry replays an
+    #: explicit serialized plan (see :func:`repro.faults.plan_to_json`).
+    #: ``None`` = fault-free.
     faults: Optional[Tuple[Tuple[str, object], ...]] = None
 
     def __post_init__(self) -> None:
@@ -165,12 +163,9 @@ class RunRequest:
 
                 plan_from_json(str(dict(self.faults)["plan"]))  # validate early
                 return
-            known = {
-                "crashes", "container_kills", "degraded", "horizon",
-                "link_degraded", "link_flaky", "rack_partitions",
-                "decommissions", "joins", "spot_preempts",
-                "tuner_crashes", "monitor_outages", "stats_gaps",
-            }
+            from repro.faults.plan import KIND_TO_KNOB
+
+            known = {"horizon", *KIND_TO_KNOB.values()}
             bad = [name for name, _v in self.faults if name not in known]
             if bad:
                 raise ValueError(f"unknown fault knob(s) {bad}, want a subset of {sorted(known)}")
@@ -344,20 +339,9 @@ def execute_request(request: RunRequest) -> RunOutcome:
 
             plan = sc.inject_faults(plan=plan_from_json(str(knobs["plan"])))
         else:
+            horizon = float(knobs.pop("horizon"))
             plan = sc.inject_faults(
-                crashes=int(knobs.get("crashes", 0)),
-                container_kills=int(knobs.get("container_kills", 0)),
-                degraded=int(knobs.get("degraded", 0)),
-                horizon=float(knobs["horizon"]),
-                link_degraded=int(knobs.get("link_degraded", 0)),
-                link_flaky=int(knobs.get("link_flaky", 0)),
-                rack_partitions=int(knobs.get("rack_partitions", 0)),
-                decommissions=int(knobs.get("decommissions", 0)),
-                joins=int(knobs.get("joins", 0)),
-                spot_preempts=int(knobs.get("spot_preempts", 0)),
-                tuner_crashes=int(knobs.get("tuner_crashes", 0)),
-                monitor_outages=int(knobs.get("monitor_outages", 0)),
-                stats_gaps=int(knobs.get("stats_gaps", 0)),
+                horizon=horizon, **{knob: int(n) for knob, n in knobs.items()}
             )
     spec = make_job_spec(case, sc.hdfs, base_config=request.config())
     recommended = None

@@ -8,9 +8,12 @@ from repro.faults.plan import (
     CONTROL_FAULT_KINDS,
     ELASTIC_FAULT_KINDS,
     FAULT_KINDS,
+    KINDS,
     NETWORK_FAULT_KINDS,
     Fault,
+    FaultKind,
     FaultPlan,
+    FaultPlanError,
     generate_fault_plan,
     plan_from_json,
     plan_to_json,
@@ -20,12 +23,15 @@ __all__ = [
     "CONTROL_FAULT_KINDS",
     "ELASTIC_FAULT_KINDS",
     "FAULT_KINDS",
+    "KINDS",
     "NETWORK_FAULT_KINDS",
     "ControlPlaneState",
     "ElasticCluster",
     "Fault",
-    "FaultPlan",
     "FaultInjector",
+    "FaultKind",
+    "FaultPlan",
+    "FaultPlanError",
     "NetworkFaultState",
     "generate_fault_plan",
     "plan_from_json",

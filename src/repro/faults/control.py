@@ -23,16 +23,17 @@ under injected faults:
     single node.  The tuner keeps running; only that node's samples
     vanish from the utilization timelines.
 
-The state is armed lazily by :class:`~repro.faults.injector.FaultInjector`
-only when a plan contains a control kind, so every control-free digest
-is byte-identical to before this module existed.
+The state is built by
+:meth:`~repro.experiments.harness.SimCluster.inject_faults` only when a
+plan contains a control kind, so every control-free digest is
+byte-identical to before this module existed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.faults.plan import CONTROL_FAULT_KINDS, Fault
+from repro.faults.plan import Fault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.central_monitor import CentralMonitor
@@ -86,8 +87,6 @@ class ControlPlaneState:
     # ------------------------------------------------------------------
     def apply(self, fault: Fault) -> str:
         """Apply a control-plane *fault*; returns the log detail line."""
-        if fault.kind not in CONTROL_FAULT_KINDS:  # pragma: no cover
-            raise ValueError(f"not a control fault: {fault.kind}")
         now = self.sim.now
         end = now + fault.duration
         if fault.kind == "tuner_crash":

@@ -24,8 +24,11 @@ Faults act through the same surfaces real hardware does:
   network, which switches reducers onto the per-fetch recovery path;
 * elastic churn (``node_decommission`` / ``node_join`` /
   ``spot_preempt``) goes through an
-  :class:`~repro.faults.elastic.ElasticCluster` manager, likewise armed
-  only when the plan contains an elastic kind.
+  :class:`~repro.faults.elastic.ElasticCluster` manager and
+  control-plane faults through a
+  :class:`~repro.faults.control.ControlPlaneState`; the caller builds
+  each (wired to its monitors) only when the plan contains a kind of
+  that family, and passes it in.
 """
 
 from __future__ import annotations
@@ -65,14 +68,9 @@ class FaultInjector:
         self.rm = rm
         self.plan = plan
         self.fetch_rng = fetch_rng
-        #: Elastic membership manager; a caller with monitor wiring (the
-        #: harness) passes a fully hooked-up one, otherwise a bare
-        #: manager is built on demand in :meth:`start` when the plan
-        #: actually contains elastic kinds.
+        #: Elastic membership manager (needed by elastic kinds).
         self.elastic = elastic
-        #: Control-plane fault manager; same deal as ``elastic`` -- the
-        #: harness passes one wired to its monitor/tuner, and a bare one
-        #: is built on demand when the plan contains a control kind.
+        #: Control-plane fault manager (needed by control kinds).
         self.control = control
         #: ``(time, description)`` log of faults actually applied.
         self.applied: List[Tuple[float, str]] = []
@@ -97,16 +95,6 @@ class FaultInjector:
             rng = self.fetch_rng if self.fetch_rng is not None else np.random.default_rng(0)
             self.cluster.network.faults = NetworkFaultState(rng)
             self._network_mode = True
-        if self.plan.has_elastic_faults and self.elastic is None:
-            from repro.faults.elastic import ElasticCluster
-
-            self.elastic = ElasticCluster(
-                self.sim, self.cluster, self.node_managers, self.rm
-            )
-        if self.plan.has_control_faults and self.control is None:
-            from repro.faults.control import ControlPlaneState
-
-            self.control = ControlPlaneState(self.sim)
         ordered = [self.node_managers[nid] for nid in sorted(self.node_managers)]
         self.rm.start_failure_detection(ordered)
         for fault in self.plan.faults:
@@ -133,6 +121,10 @@ class FaultInjector:
         self.applied.append((self.sim.now, detail))
         self._emit(fault, True, detail)
 
+    def _skipped(self, fault: Fault) -> None:
+        self.skipped.append((self.sim.now, fault.describe()))
+        self._emit(fault, False, fault.describe())
+
     def _apply(self, fault: Fault) -> None:
         if fault.kind == "node_join":
             # The joining node does not exist yet, so this branch must
@@ -152,8 +144,7 @@ class FaultInjector:
         network = self.cluster.network
         if fault.kind == "node_crash":
             if not node.alive:
-                self.skipped.append((self.sim.now, fault.describe()))
-                self._emit(fault, False, fault.describe())
+                self._skipped(fault)
                 return
             node.fail()
             if self._network_mode:
@@ -165,8 +156,7 @@ class FaultInjector:
             return
         if not node.alive or nm.decommissioned:
             # The target died before this fault's time arrived.
-            self.skipped.append((self.sim.now, fault.describe()))
-            self._emit(fault, False, fault.describe())
+            self._skipped(fault)
             return
         if fault.kind == "degrade":
             node.degrade(cpu_factor=fault.cpu_factor, disk_factor=fault.disk_factor)
@@ -205,14 +195,12 @@ class FaultInjector:
             if self.elastic.decommission(fault.node_id):
                 self._applied(fault, fault.describe())
             else:
-                self.skipped.append((self.sim.now, fault.describe()))
-                self._emit(fault, False, fault.describe())
+                self._skipped(fault)
         elif fault.kind == "spot_preempt":
             if self.elastic.preempt_notice(fault.node_id, fault.duration):
                 self._applied(fault, fault.describe())
             else:
-                self.skipped.append((self.sim.now, fault.describe()))
-                self._emit(fault, False, fault.describe())
+                self._skipped(fault)
         else:  # container_kill
             killed = nm.kill_some(
                 fault.count,

@@ -1,4 +1,4 @@
-"""Declarative fault plans.
+"""Declarative fault plans and the fault-kind table.
 
 A :class:`FaultPlan` is an immutable, time-sorted list of
 :class:`Fault` records -- pure data, picklable, and cheap to compare.
@@ -8,6 +8,12 @@ seed always yields the same scenario, independently of every other
 random draw in the simulation (HDFS placement, dataflow noise, tuner
 sampling all keep their own streams).
 
+Every fault kind is declared once, as a row of :data:`KINDS`: its
+count keyword, family, target rule, time window, parameter draws,
+whether it removes a node, and its ``describe()`` text.  The kind
+sets, the generator, the ``--kinds`` levels and the run-request
+validation all read the table.
+
 Plans round-trip through JSON (:func:`plan_to_json` /
 :func:`plan_from_json`) so a pinned scenario can be replayed outside
 :func:`generate_fault_plan` -- e.g. the ``repro faults --plan-json``
@@ -16,105 +22,151 @@ dump/load path.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-#: The fault kinds the injector understands.
-FAULT_KINDS = (
-    "node_crash",
-    "container_kill",
-    "degrade",
-    "link_degrade",
-    "link_flaky",
-    "rack_partition",
-    "node_decommission",
-    "node_join",
-    "spot_preempt",
-    "tuner_crash",
-    "monitor_outage",
-    "stats_gap",
+#: Families: which subsystem a kind acts on, and which one it arms.
+NODE, NETWORK, ELASTIC, CONTROL = "node", "network", "elastic", "control"
+
+#: Target rules.  ``DISTINCT`` rows that sit next to each other in the
+#: table share one draw of distinct nodes (without replacement) from
+#: the healthy pool; ``HEALTHY`` draws one node of that pool per fault;
+#: ``ANY`` draws any seed node; ``ANCHOR`` draws nothing and uses node
+#: 0 (the kind is not node-resident).
+DISTINCT, HEALTHY, ANY, ANCHOR = "distinct", "healthy", "any", "anchor"
+
+#: Drawn fields that are durations, hence scaled by the horizon.
+_TIME_FIELDS = ("duration", "recover_time")
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """One row of :data:`KINDS`."""
+
+    name: str
+    #: The :func:`generate_fault_plan` keyword giving how many to draw.
+    knob: str
+    family: str
+    target: str
+    #: Fault time, uniform in this window, as fractions of the horizon.
+    window: Tuple[float, float]
+    #: ``(field, lo, hi)`` uniform draws that follow the time, in order;
+    #: :data:`_TIME_FIELDS` are fractions of the horizon.
+    draws: Tuple[Tuple[str, float, float], ...] = ()
+    #: The node leaves service (``--kinds`` levels cap it at one).
+    removes_node: bool = False
+    #: The node dies: no later pick in the same plan targets it.
+    kills_node: bool = False
+    #: ``describe()`` text after ``t=<time>s``, formatted with the
+    #: fault's fields and ``recov`` (a recovery suffix or ``""``).
+    text: str = ""
+
+
+#: The fault kinds, in draw order.  :func:`generate_fault_plan` walks
+#: the rows top to bottom on one RNG stream, so a plan that draws only
+#: earlier kinds is bit-identical whatever later rows add: append new
+#: kinds at the end.
+KINDS: Tuple[FaultKind, ...] = (
+    FaultKind("node_crash", "crashes", NODE, DISTINCT, (0.15, 0.60),
+              removes_node=True, kills_node=True, text="crash node {node_id}"),
+    FaultKind("degrade", "degraded", NODE, DISTINCT, (0.05, 0.30),
+              draws=(("cpu_factor", 0.35, 0.75), ("disk_factor", 0.35, 0.75)),
+              text="degrade node {node_id} "
+                   "(cpu x{cpu_factor:.2f}, disk x{disk_factor:.2f}{recov})"),
+    FaultKind("container_kill", "container_kills", NODE, HEALTHY, (0.20, 0.80),
+              text="kill {count} container(s) on node {node_id}"),
+    FaultKind("link_degrade", "link_degraded", NETWORK, HEALTHY, (0.10, 0.50),
+              draws=(("net_factor", 0.20, 0.60), ("recover_time", 0.20, 0.50)),
+              text="degrade link of node {node_id} (net x{net_factor:.2f}{recov})"),
+    FaultKind("link_flaky", "link_flaky", NETWORK, HEALTHY, (0.10, 0.60),
+              draws=(("fail_prob", 0.30, 0.80), ("duration", 0.20, 0.50)),
+              text="flaky link on node {node_id} (p={fail_prob:.2f} for {duration:.1f}s)"),
+    FaultKind("rack_partition", "rack_partitions", NETWORK, HEALTHY, (0.15, 0.60),
+              draws=(("duration", 0.10, 0.30),),
+              text="partition rack of node {node_id} for {duration:.1f}s"),
+    FaultKind("node_decommission", "decommissions", ELASTIC, DISTINCT, (0.15, 0.55),
+              removes_node=True, text="decommission node {node_id} (graceful drain)"),
+    FaultKind("spot_preempt", "spot_preempts", ELASTIC, DISTINCT, (0.20, 0.60),
+              draws=(("duration", 0.08, 0.18),), removes_node=True,
+              text="spot-preempt notice on node {node_id} (kill after {duration:.1f}s grace)"),
+    FaultKind("node_join", "joins", ELASTIC, ANY, (0.10, 0.50),
+              text="join a new node into the rack of node {node_id}"),
+    FaultKind("tuner_crash", "tuner_crashes", CONTROL, ANCHOR, (0.15, 0.55),
+              draws=(("duration", 0.15, 0.35),), text="tuner crash (restarts +{duration:.1f}s)"),
+    FaultKind("monitor_outage", "monitor_outages", CONTROL, ANCHOR, (0.15, 0.55),
+              draws=(("duration", 0.10, 0.30),), text="monitor outage for {duration:.1f}s"),
+    FaultKind("stats_gap", "stats_gaps", CONTROL, HEALTHY, (0.10, 0.60),
+              draws=(("duration", 0.10, 0.25),),
+              text="stats gap on node {node_id} for {duration:.1f}s"),
 )
 
-#: Kinds that act on the network fabric rather than a node's CPU/disks.
-#: Their presence in a plan arms the gray-failure fetch path (per-fetch
-#: shuffle with timeout/retry/penalty-box recovery).
-NETWORK_FAULT_KINDS = frozenset({"link_degrade", "link_flaky", "rack_partition"})
+#: The table cut into runs of adjacent ``DISTINCT`` rows (``True``)
+#: and of the other rows (``False``).
+_DRAW_GROUPS = tuple(
+    (joint, tuple(rows))
+    for joint, rows in itertools.groupby(KINDS, key=lambda k: k.target == DISTINCT)
+)
 
-#: Kinds that change cluster membership (elastic churn).  Their presence
-#: in a plan arms the elastic-cluster machinery (drain states, dynamic
-#: registration, capacity-change notifications); fault-free runs and
-#: legacy fault plans never construct any of it.
-ELASTIC_FAULT_KINDS = frozenset({"node_decommission", "node_join", "spot_preempt"})
+#: Kind name -> its row.
+KIND: Dict[str, FaultKind] = {kind.name: kind for kind in KINDS}
+
+#: The fault kinds the injector understands, in draw order.
+FAULT_KINDS = tuple(KIND)
+
+#: Kind -> ``generate_fault_plan`` count keyword.
+KIND_TO_KNOB: Dict[str, str] = {kind.name: kind.knob for kind in KINDS}
+
+
+def _family(family: str) -> frozenset:
+    return frozenset(kind.name for kind in KINDS if kind.family == family)
+
+
+#: Kinds that act on the network fabric.  Any of them in a plan arms
+#: the gray-failure fetch path (per-fetch shuffle with timeout/retry/
+#: penalty-box recovery).
+NETWORK_FAULT_KINDS = _family(NETWORK)
+
+#: Kinds that change cluster membership.  Any of them in a plan arms
+#: the elastic-cluster machinery (drain states, dynamic registration,
+#: capacity-change notifications).
+ELASTIC_FAULT_KINDS = _family(ELASTIC)
 
 #: Kinds that attack the advisory control plane (tuner, central
-#: monitor, slave-stats stream) instead of the data plane.  Their
-#: presence in a plan arms the :class:`ControlPlaneState` choreography;
-#: plans without them never construct any of it, so every pre-existing
-#: digest stays byte-identical.
-CONTROL_FAULT_KINDS = frozenset({"tuner_crash", "monitor_outage", "stats_gap"})
+#: monitor, slave-stats stream).  Any of them in a plan arms the
+#: :class:`~repro.faults.control.ControlPlaneState` choreography.
+CONTROL_FAULT_KINDS = _family(CONTROL)
+
+
+def fault_counts(**per_kind: int) -> Dict[str, int]:
+    """Map per-kind counts (``node_crash=1``) to count keywords."""
+    return {KIND[name].knob: count for name, count in per_kind.items()}
+
+
+class FaultPlanError(ValueError):
+    """A fault plan from outside the program is malformed or names
+    nodes the cluster does not have."""
 
 
 @dataclass(frozen=True)
 class Fault:
     """One scheduled fault event.
 
-    ``node_crash``
-        The node dies permanently at ``time``: its CPU and disks freeze
-        and it stops heartbeating; the RM declares it lost after the
-        liveness expiry and every container on it is killed.
-    ``container_kill``
-        ``count`` running containers on the node are killed (transient
-        preemption); the node itself stays healthy.
-    ``degrade``
-        The node's CPU and/or disks are slowed to ``cpu_factor`` /
-        ``disk_factor`` of nominal capacity -- a straggler, not a
-        failure.  With ``recover_time > 0`` the node heals back to
-        nominal that many seconds after the fault lands.
-    ``link_degrade``
-        The node's NIC (TX and RX) is rescaled to ``net_factor`` of
-        nominal bandwidth; with ``recover_time > 0`` it heals after
-        that long.
-    ``link_flaky``
-        For ``duration`` seconds, every shuffle fetch touching the node
-        fails with probability ``fail_prob`` (drawn from the dedicated
-        fault RNG stream) -- a gray failure the flow scheduler cannot
-        see, only the fetcher's retry loop.
-    ``rack_partition``
-        The rack containing the node loses its uplink for ``duration``
-        seconds: cross-rack flows stall (rack-local traffic is
-        unaffected).
-    ``node_decommission``
-        Graceful drain starting at ``time``: the node stops accepting
-        new containers, running tasks finish undisturbed, and once the
-        last one settles the node deregisters and leaves the cluster.
-    ``node_join``
-        A brand-new node registers at ``time`` and enters scheduling.
-        ``node_id`` names an *anchor* node whose rack the newcomer
-        joins (the new node itself gets the next sequential id).
-    ``spot_preempt``
-        A spot-style preemption *notice* at ``time``: the node stops
-        accepting containers and ``duration`` seconds later whatever is
-        still running on it is hard-killed and the node is reclaimed.
-        During the grace window the AM proactively migrates the doomed
-        attempts to other nodes.
-    ``tuner_crash``
-        The online tuner process dies at ``time`` and restarts
-        ``duration`` seconds later.  While down, wave gates release
-        immediately on the last-known-good configuration; on recovery
-        the tuner quarantines (voids) whatever was in flight across the
-        outage and resumes the search from its incumbent.  ``node_id``
-        is an anchor convention only (the tuner is not node-resident).
-    ``monitor_outage``
-        The central monitor is unreachable for ``duration`` seconds:
-        every slave-stats sample in the window is lost, and the tuner
-        treats task measurements spanning the window as suspect.
-    ``stats_gap``
-        One slave monitor (on ``node_id``) stops reporting for
-        ``duration`` seconds -- a gray control-plane failure.  The
-        central monitor bridges the gap instead of reading it as idle.
+    ``kind`` is a row of :data:`KINDS` (``docs/faults.md`` describes
+    each one's effect).  ``node_id`` is the target node; for
+    ``node_join`` it is the anchor whose rack the newcomer joins, and
+    for ``tuner_crash``/``monitor_outage`` it is node 0 by convention.
+    ``count`` is how many containers a ``container_kill`` kills;
+    ``cpu_factor``/``disk_factor``/``net_factor`` scale capacities;
+    ``fail_prob`` is a ``link_flaky`` fetch's failure probability;
+    ``duration`` is the length of a window (flaky link, partition,
+    spot grace, tuner downtime, monitor outage, stats gap); with
+    ``recover_time > 0`` a degraded node or link heals that long after
+    the fault lands.
     """
 
     time: float
@@ -160,49 +212,9 @@ class Fault:
             raise ValueError(f"{self.kind} needs duration > 0 (the outage window)")
 
     def describe(self) -> str:
-        if self.kind == "node_crash":
-            return f"t={self.time:.1f}s crash node {self.node_id}"
-        if self.kind == "container_kill":
-            return f"t={self.time:.1f}s kill {self.count} container(s) on node {self.node_id}"
-        if self.kind == "link_degrade":
-            recov = f", recovers +{self.recover_time:.1f}s" if self.recover_time > 0 else ""
-            return (
-                f"t={self.time:.1f}s degrade link of node {self.node_id} "
-                f"(net x{self.net_factor:.2f}{recov})"
-            )
-        if self.kind == "link_flaky":
-            return (
-                f"t={self.time:.1f}s flaky link on node {self.node_id} "
-                f"(p={self.fail_prob:.2f} for {self.duration:.1f}s)"
-            )
-        if self.kind == "rack_partition":
-            return (
-                f"t={self.time:.1f}s partition rack of node {self.node_id} "
-                f"for {self.duration:.1f}s"
-            )
-        if self.kind == "node_decommission":
-            return f"t={self.time:.1f}s decommission node {self.node_id} (graceful drain)"
-        if self.kind == "node_join":
-            return f"t={self.time:.1f}s join a new node into the rack of node {self.node_id}"
-        if self.kind == "spot_preempt":
-            return (
-                f"t={self.time:.1f}s spot-preempt notice on node {self.node_id} "
-                f"(kill after {self.duration:.1f}s grace)"
-            )
-        if self.kind == "tuner_crash":
-            return f"t={self.time:.1f}s tuner crash (restarts +{self.duration:.1f}s)"
-        if self.kind == "monitor_outage":
-            return f"t={self.time:.1f}s monitor outage for {self.duration:.1f}s"
-        if self.kind == "stats_gap":
-            return (
-                f"t={self.time:.1f}s stats gap on node {self.node_id} "
-                f"for {self.duration:.1f}s"
-            )
         recov = f", recovers +{self.recover_time:.1f}s" if self.recover_time > 0 else ""
-        return (
-            f"t={self.time:.1f}s degrade node {self.node_id} "
-            f"(cpu x{self.cpu_factor:.2f}, disk x{self.disk_factor:.2f}{recov})"
-        )
+        text = KIND[self.kind].text.format(recov=recov, **vars(self))
+        return f"t={self.time:.1f}s {text}"
 
 
 @dataclass(frozen=True)
@@ -246,6 +258,22 @@ class FaultPlan:
     def describe(self) -> List[str]:
         return [f.describe() for f in self.faults]
 
+    def check_nodes(self, num_nodes: int) -> None:
+        """Raise :class:`FaultPlanError` if a fault names a node that a
+        *num_nodes* cluster does not have when the fault lands.
+
+        Faults apply in plan order, and each ``node_join`` before a
+        fault adds the next node id.
+        """
+        nodes = num_nodes
+        for f in self.faults:
+            if f.node_id >= nodes:
+                raise FaultPlanError(
+                    f"fault at t={f.time}s names node {f.node_id}, but the "
+                    f"cluster then has only nodes 0-{nodes - 1}"
+                )
+            nodes += f.kind == "node_join"
+
 
 #: Fault fields serialized to JSON, in declaration order.  Defaults are
 #: elided from the dump so old-kind plans stay compact and forward-
@@ -259,6 +287,10 @@ _FAULT_FIELD_DEFAULTS = (
     ("duration", 0.0),
     ("recover_time", 0.0),
 )
+
+#: Fields that must be JSON integers; every other field but ``kind``
+#: must be a finite JSON number.
+_INT_FIELDS = ("node_id", "count")
 
 
 def plan_to_json(plan: FaultPlan) -> str:
@@ -277,21 +309,41 @@ def plan_to_json(plan: FaultPlan) -> str:
 def plan_from_json(text: str) -> FaultPlan:
     """Parse a :func:`plan_to_json` document back into a plan.
 
-    Validation happens in :class:`Fault`'s ``__post_init__``, so a
-    hand-edited document with out-of-range fields fails loudly.
+    Plan files come from outside the program, so every defect raises
+    :class:`FaultPlanError`: invalid JSON, a missing ``time``/``kind``/
+    ``node_id``, an unknown field, a non-numeric (or boolean) value, a
+    non-integer ``node_id``/``count``, or a value :class:`Fault` rejects.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise FaultPlanError(f"fault plan is not valid JSON: {err}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("faults"), list):
-        raise ValueError("fault plan JSON must be an object with a 'faults' list")
+        raise FaultPlanError("fault plan JSON must be an object with a 'faults' list")
     known = {"time", "kind", "node_id"} | {name for name, _ in _FAULT_FIELD_DEFAULTS}
     faults = []
-    for rec in doc["faults"]:
+    for i, rec in enumerate(doc["faults"]):
         if not isinstance(rec, dict):
-            raise ValueError(f"fault record must be an object, got {rec!r}")
+            raise FaultPlanError(f"fault record must be an object, got {rec!r}")
         unknown = set(rec) - known
         if unknown:
-            raise ValueError(f"unknown fault fields {sorted(unknown)}")
-        faults.append(Fault(**rec))
+            raise FaultPlanError(f"unknown fault fields {sorted(unknown)}")
+        missing = [name for name in ("time", "kind", "node_id") if name not in rec]
+        if missing:
+            raise FaultPlanError(f"fault record {i} lacks field(s) {missing}")
+        for name, value in rec.items():
+            if name == "kind":
+                continue
+            want = int if name in _INT_FIELDS else (int, float)
+            if isinstance(value, bool) or not isinstance(value, want) or not math.isfinite(value):
+                kind = "an integer" if want is int else "a finite number"
+                raise FaultPlanError(
+                    f"fault record {i}: {name} must be {kind}, got {value!r}"
+                )
+        try:
+            faults.append(Fault(**rec))
+        except ValueError as err:
+            raise FaultPlanError(f"fault record {i}: {err}") from None
     return FaultPlan(tuple(faults))
 
 
@@ -299,206 +351,82 @@ def generate_fault_plan(
     rng: np.random.Generator,
     num_nodes: int,
     horizon: float,
-    crashes: int = 0,
-    container_kills: int = 0,
-    degraded: int = 0,
-    degrade_span: Tuple[float, float] = (0.35, 0.75),
-    link_degraded: int = 0,
-    link_flaky: int = 0,
-    rack_partitions: int = 0,
-    decommissions: int = 0,
-    joins: int = 0,
-    spot_preempts: int = 0,
-    tuner_crashes: int = 0,
-    monitor_outages: int = 0,
-    stats_gaps: int = 0,
+    **counts: int,
 ) -> FaultPlan:
     """Draw a random fault scenario from *rng*.
 
-    *horizon* is the expected fault-free job duration; crash times land
-    in [15%, 60%] of it (late enough to destroy real work, early enough
-    that recovery happens within the run), degradations start early
-    ([5%, 30%]) so stragglers shape whole waves, and container kills
-    spread over [20%, 80%].  Crashed and degraded node sets are
-    disjoint, and at least one node is left fully healthy.
+    *counts* maps count keywords (:attr:`FaultKind.knob`, e.g.
+    ``crashes=1``) to how many faults of that kind to draw; *horizon*
+    is the expected fault-free job duration.  The rows of :data:`KINDS`
+    draw in table order.  Per fault a row draws its target, then its
+    time in ``window`` x *horizon*, then its ``draws``.  A run of
+    adjacent ``DISTINCT`` rows first draws all its targets at once
+    without replacement, then each row's times and parameters in
+    ascending node order.
 
-    Network faults (``link_degraded`` NIC rescales, ``link_flaky``
-    fetch-failure windows, ``rack_partitions`` uplink stalls) target
-    non-crashed nodes and are drawn strictly *after* every legacy draw,
-    so a plan generated with only the legacy knobs is bit-identical to
-    what earlier versions produced from the same stream.
-
-    Elastic churn (``decommissions`` graceful drains, ``joins`` new
-    nodes, ``spot_preempts`` notice-then-kill reclaims) follows the same
-    rule: its draws come after every legacy *and* network draw.  Drain
-    and preemption targets are distinct non-crashed nodes, and at least
-    one seed node always stays in service.
-
-    Control-plane faults (``tuner_crashes`` tuner restarts,
-    ``monitor_outages`` central-monitor blackouts, ``stats_gaps``
-    single-slave reporting gaps) are the newest family and are drawn
-    strictly after every legacy, network, *and* elastic draw, keeping
-    every older-knob plan bit-identical from the same stream.
+    The healthy pool starts as every node; a ``kills_node`` row
+    removes its targets from it for every later pick.  So crashed and
+    degraded nodes are disjoint, network faults and stats gaps never
+    hit a crashed node, and drain and preemption targets are distinct
+    non-crashed nodes.  Each distinct draw must leave one node of its
+    pool untouched: at least one node stays fully healthy and churn
+    never empties the cluster.
     """
     if num_nodes < 1:
         raise ValueError("need at least one node")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if crashes < 0 or container_kills < 0 or degraded < 0:
+    unknown = sorted(set(counts) - set(KIND_TO_KNOB.values()))
+    if unknown:
+        raise TypeError(f"unknown fault count keyword(s) {unknown}")
+    n = {kind.name: counts.get(kind.knob, 0) for kind in KINDS}
+    if min(n.values()) < 0:
         raise ValueError("fault counts must be >= 0")
-    if link_degraded < 0 or link_flaky < 0 or rack_partitions < 0:
-        raise ValueError("fault counts must be >= 0")
-    if decommissions < 0 or joins < 0 or spot_preempts < 0:
-        raise ValueError("fault counts must be >= 0")
-    if tuner_crashes < 0 or monitor_outages < 0 or stats_gaps < 0:
-        raise ValueError("fault counts must be >= 0")
-    if crashes + decommissions + spot_preempts >= num_nodes:
-        raise ValueError(
-            f"{crashes} crash(es) + {decommissions} decommission(s) + "
-            f"{spot_preempts} preemption(s) would empty a {num_nodes}-node cluster"
-        )
-    if crashes + degraded >= num_nodes:
-        raise ValueError(
-            f"{crashes} crash(es) + {degraded} degraded node(s) needs at least "
-            f"{crashes + degraded + 1} nodes, have {num_nodes}"
-        )
-    lo, hi = degrade_span
-    if not (0.0 < lo <= hi <= 1.0):
-        raise ValueError(f"degrade_span must satisfy 0 < lo <= hi <= 1, got {degrade_span}")
+    pool = num_nodes
+    for joint, rows in _DRAW_GROUPS:
+        picks = sum(n[kind.name] for kind in rows)
+        if joint and picks >= pool:
+            terms = " + ".join(f"{n[kind.name]} {kind.knob}" for kind in rows)
+            raise ValueError(
+                f"{terms} would empty the {pool} healthy node(s) they are drawn "
+                f"from: needs at least {num_nodes - pool + picks + 1} nodes, "
+                f"have {num_nodes}"
+            )
+        pool -= sum(n[kind.name] for kind in rows if kind.kills_node)
+
+    def draw(kind: FaultKind, node_id: int) -> Fault:
+        lo, hi = kind.window
+        time = float(rng.uniform(lo, hi)) * horizon
+        params = {}
+        for name, lo, hi in kind.draws:
+            value = float(rng.uniform(lo, hi))
+            params[name] = value * horizon if name in _TIME_FIELDS else value
+        return Fault(time=time, kind=kind.name, node_id=node_id, **params)
 
     faults: List[Fault] = []
-    picked = rng.choice(num_nodes, size=crashes + degraded, replace=False)
-    crash_nodes = sorted(int(n) for n in picked[:crashes])
-    degrade_nodes = sorted(int(n) for n in picked[crashes:])
-    for node_id in crash_nodes:
-        t = float(rng.uniform(0.15, 0.60)) * horizon
-        faults.append(Fault(time=t, kind="node_crash", node_id=node_id))
-    for node_id in degrade_nodes:
-        t = float(rng.uniform(0.05, 0.30)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="degrade",
-                node_id=node_id,
-                cpu_factor=float(rng.uniform(lo, hi)),
-                disk_factor=float(rng.uniform(lo, hi)),
+    healthy = list(range(num_nodes))
+    for joint, rows in _DRAW_GROUPS:
+        if joint:
+            picked = rng.choice(
+                len(healthy), size=sum(n[kind.name] for kind in rows), replace=False
             )
-        )
-    healthy = [n for n in range(num_nodes) if n not in crash_nodes]
-    for _ in range(container_kills):
-        node_id = int(healthy[int(rng.integers(len(healthy)))])
-        t = float(rng.uniform(0.20, 0.80)) * horizon
-        faults.append(Fault(time=t, kind="container_kill", node_id=node_id))
-    # -- network faults: every draw below is new; keep them after all
-    # legacy draws so legacy-knob plans replay bit-identically.
-    for _ in range(link_degraded):
-        node_id = int(healthy[int(rng.integers(len(healthy)))])
-        t = float(rng.uniform(0.10, 0.50)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="link_degrade",
-                node_id=node_id,
-                net_factor=float(rng.uniform(0.20, 0.60)),
-                recover_time=float(rng.uniform(0.20, 0.50)) * horizon,
-            )
-        )
-    for _ in range(link_flaky):
-        node_id = int(healthy[int(rng.integers(len(healthy)))])
-        t = float(rng.uniform(0.10, 0.60)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="link_flaky",
-                node_id=node_id,
-                fail_prob=float(rng.uniform(0.30, 0.80)),
-                duration=float(rng.uniform(0.20, 0.50)) * horizon,
-            )
-        )
-    for _ in range(rack_partitions):
-        node_id = int(healthy[int(rng.integers(len(healthy)))])
-        t = float(rng.uniform(0.15, 0.60)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="rack_partition",
-                node_id=node_id,
-                duration=float(rng.uniform(0.10, 0.30)) * horizon,
-            )
-        )
-    # -- elastic churn: drawn after all legacy and network draws for the
-    # same replay-stability reason.  Drain/preemption targets are
-    # sampled without replacement so one node is never both gracefully
-    # drained and spot-reclaimed in a single scenario.
-    if decommissions + spot_preempts > 0:
-        leaving = rng.choice(len(healthy), size=decommissions + spot_preempts, replace=False)
-        drain_nodes = sorted(int(healthy[i]) for i in leaving[:decommissions])
-        preempt_nodes = sorted(int(healthy[i]) for i in leaving[decommissions:])
-        for node_id in drain_nodes:
-            t = float(rng.uniform(0.15, 0.55)) * horizon
-            faults.append(Fault(time=t, kind="node_decommission", node_id=node_id))
-        for node_id in preempt_nodes:
-            t = float(rng.uniform(0.20, 0.60)) * horizon
-            faults.append(
-                Fault(
-                    time=t,
-                    kind="spot_preempt",
-                    node_id=node_id,
-                    duration=float(rng.uniform(0.08, 0.18)) * horizon,
-                )
-            )
-    for _ in range(joins):
-        anchor = int(rng.integers(num_nodes))
-        t = float(rng.uniform(0.10, 0.50)) * horizon
-        faults.append(Fault(time=t, kind="node_join", node_id=anchor))
-    # -- control-plane faults: the newest family, drawn after every
-    # legacy, network, and elastic draw so all older-knob plans replay
-    # bit-identically from the same stream.  Crash/outage windows land
-    # mid-run (late enough that a search is underway, early enough that
-    # recovery happens within the horizon).  The tuner and the central
-    # monitor are not node-resident; node 0 is an anchor convention.
-    for _ in range(tuner_crashes):
-        t = float(rng.uniform(0.15, 0.55)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="tuner_crash",
-                node_id=0,
-                duration=float(rng.uniform(0.15, 0.35)) * horizon,
-            )
-        )
-    for _ in range(monitor_outages):
-        t = float(rng.uniform(0.15, 0.55)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="monitor_outage",
-                node_id=0,
-                duration=float(rng.uniform(0.10, 0.30)) * horizon,
-            )
-        )
-    for _ in range(stats_gaps):
-        node_id = int(healthy[int(rng.integers(len(healthy)))])
-        t = float(rng.uniform(0.10, 0.60)) * horizon
-        faults.append(
-            Fault(
-                time=t,
-                kind="stats_gap",
-                node_id=node_id,
-                duration=float(rng.uniform(0.10, 0.25)) * horizon,
-            )
-        )
+            dead = set()
+            for kind in rows:
+                nodes = sorted(int(healthy[i]) for i in picked[: n[kind.name]])
+                picked = picked[n[kind.name]:]
+                faults.extend(draw(kind, node_id) for node_id in nodes)
+                if kind.kills_node:
+                    dead.update(nodes)
+            healthy = [node for node in healthy if node not in dead]
+            continue
+        for kind in rows:
+            for _ in range(n[kind.name]):
+                if kind.target == HEALTHY:
+                    node_id = int(healthy[int(rng.integers(len(healthy)))])
+                elif kind.target == ANY:
+                    node_id = int(rng.integers(num_nodes))
+                else:
+                    node_id = 0
+                faults.append(draw(kind, node_id))
     return FaultPlan(tuple(faults))
 
-
-__all__ = [
-    "CONTROL_FAULT_KINDS",
-    "ELASTIC_FAULT_KINDS",
-    "FAULT_KINDS",
-    "NETWORK_FAULT_KINDS",
-    "Fault",
-    "FaultPlan",
-    "generate_fault_plan",
-    "plan_from_json",
-    "plan_to_json",
-]

@@ -68,47 +68,6 @@ class TestRunSafety:
         assert p.failed
         assert isinstance(p.exception, SimulationError)
 
-    def test_trace_log(self):
-        # trace= is deprecated in favour of the telemetry bus, but the
-        # shim still records into the (now bounded) trace_log deque.
-        from repro.sim.engine import reset_trace_deprecation
-
-        reset_trace_deprecation()
-        with pytest.warns(DeprecationWarning):
-            sim = Simulator(trace=True)
-        sim.timeout(1.0)
-        sim.timeout(2.0)
-        sim.run()
-        assert len(sim.trace_log) == 2
-        assert sim.trace_log[0][0] == 1.0
-
-    def test_trace_deprecation_warns_once_per_process(self):
-        # Replica fan-outs build thousands of simulators; the shim must
-        # not warn per construction.  One warning, then silence until
-        # explicitly re-armed.
-        import warnings as warnings_mod
-
-        from repro.sim.engine import reset_trace_deprecation
-
-        reset_trace_deprecation()
-        with pytest.warns(DeprecationWarning):
-            Simulator(trace=True)
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            sim = Simulator(trace=True)  # must stay silent
-        sim.timeout(1.0)
-        sim.run()
-        assert len(sim.trace_log) == 1
-        reset_trace_deprecation()
-        with pytest.warns(DeprecationWarning):
-            Simulator(trace=True)
-
-    def test_trace_log_is_bounded(self):
-        from repro.sim.engine import TRACE_LOG_LIMIT
-
-        sim = Simulator()
-        assert sim.trace_log.maxlen == TRACE_LOG_LIMIT
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(5):
